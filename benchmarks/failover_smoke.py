@@ -76,10 +76,6 @@ def main() -> int:
     parser.add_argument("--workers", type=int, default=2, help="serving workers")
     parser.add_argument("--clients", type=int, default=4, help="client threads")
     parser.add_argument(
-        "--edge", default="asyncio", choices=("threads", "asyncio"),
-        help="front-end flavour under test",
-    )
-    parser.add_argument(
         "--kill-rounds", type=int, default=20,
         help="max mid-load SIGKILLs before giving up on seeing a failover",
     )
@@ -120,7 +116,7 @@ def main() -> int:
             sys.executable, "-u", "-m", "repro", "serve",
             "--input", csv_path, "--index", "ch", "--snapshot", "main",
             "--workers", str(args.workers), "--heartbeat-s", "0.1",
-            "--edge", args.edge, "--port", "0", "--cache-entries", "0",
+            "--port", "0", "--cache-entries", "0",
             "--linger-ms", "2",
             "--drain-timeout-s", str(args.drain_timeout_s),
         ],
@@ -259,14 +255,12 @@ def main() -> int:
         print(
             f"failover smoke OK: {counts['ok']} requests bit-identical, "
             f"0 failures, {kills} kill(s), {failovers:g} failover(s) in "
-            f"/metrics, drain exit 0 ({args.edge} edge, "
-            f"{args.workers} workers)"
+            f"/metrics, drain exit 0 ({args.workers} workers)"
         )
         if args.out:
             append_record(
                 {
                     "benchmark": "failover_smoke",
-                    "edge": args.edge,
                     "workers": args.workers,
                     "clients": args.clients,
                     "n": args.n,

@@ -193,25 +193,14 @@ def build_server(args):
         snapshot = service.fit_snapshot(
             args.snapshot, _load_points(args), index=index_name, **index_params
         )
-    if getattr(args, "edge", "threads") == "asyncio":
-        from repro.serving.edge import make_edge_server
-
-        server = make_edge_server(
-            service,
-            host=args.host,
-            port=args.port,
-            max_inflight=getattr(args, "max_inflight", None),
-            default_timeout_s=getattr(args, "timeout_s", None),
-            observability=not getattr(args, "no_observability", False),
-        )
-    else:
-        server = make_server(
-            service,
-            host=args.host,
-            port=args.port,
-            verbose=args.verbose,
-            observability=not getattr(args, "no_observability", False),
-        )
+    server = make_server(
+        service,
+        host=args.host,
+        port=args.port,
+        max_inflight=getattr(args, "max_inflight", None),
+        default_timeout_s=getattr(args, "timeout_s", None),
+        observability=not getattr(args, "no_observability", False),
+    )
     return service, server, snapshot
 
 
@@ -225,7 +214,7 @@ def cmd_serve(args) -> int:
           f"fingerprint={snapshot.fingerprint[:12]}…")
     workers = getattr(args, "workers", 0) or 0
     print(f"serving on http://{host}:{port}  (dispatch={service.dispatch}, "
-          f"edge={getattr(args, 'edge', 'threads')}, workers={workers})")
+          f"workers={workers})")
     print(f"  curl http://{host}:{port}/healthz")
     print(f"  curl -X POST http://{host}:{port}/v1/query -d "
           f"'{{\"snapshot\": \"{snapshot.name}\", \"op\": \"cluster\", \"dc\": 0.5}}'")
@@ -243,13 +232,10 @@ def cmd_serve(args) -> int:
     signal.signal(signal.SIGTERM, _on_signal)
     signal.signal(signal.SIGINT, _on_signal)
 
-    accept_thread = None
-    if hasattr(server, "serve_forever"):  # threading front-end
-        accept_thread = threading.Thread(
-            target=server.serve_forever, name="repro-serve-accept", daemon=True
-        )
-        accept_thread.start()
-    # The asyncio edge is already serving on its own loop thread.
+    loop_thread = threading.Thread(
+        target=server.serve_forever, name="repro-serve-loop", daemon=True
+    )
+    loop_thread.start()
 
     stop.wait()
     signum = received.get("signum")
@@ -259,8 +245,7 @@ def cmd_serve(args) -> int:
     clean = server.drain(timeout_s=drain_timeout)
     clean = service.drain(timeout_s=drain_timeout) and clean
     server.server_close()
-    if accept_thread is not None:
-        accept_thread.join(timeout=5.0)
+    loop_thread.join(timeout=5.0)
     print(f"drain {'clean' if clean else 'forced'}; exiting {0 if clean else 1}")
     return 0 if clean else 1
 
@@ -401,16 +386,10 @@ def main(argv=None) -> int:
         "get this long to flush before a forced exit (exit code 1)",
     )
     serve.add_argument(
-        "--edge", default="threads", choices=("threads", "asyncio"),
-        help="front-end flavour: thread-per-connection (default) or the "
-        "asyncio edge (one event loop, admission control at the door)",
-    )
-    serve.add_argument(
         "--max-inflight", type=int, default=None,
-        help="asyncio edge only: cap on concurrently served queries; excess "
-        "is shed with 503 + Retry-After before touching the dispatch queue",
+        help="cap on concurrently served queries, publishes and deletes; "
+        "excess is shed with 503 + Retry-After before touching the dispatch queue",
     )
-    serve.add_argument("--verbose", action="store_true", help="log every HTTP request")
     serve.add_argument(
         "--no-observability", action="store_true",
         help="keep repro.obs instrumentation on its no-op path "

@@ -9,8 +9,9 @@ rebuild), a :class:`~repro.serving.coalescer.RequestCoalescer` batches
 concurrent requests through the multi-``dc`` kernels, and a
 :class:`~repro.serving.cache.ResultCache` memoises exact results keyed on
 content fingerprints.  :class:`~repro.serving.service.ClusteringService`
-ties them together; :mod:`repro.serving.http` puts a stdlib HTTP/JSON
-front-end on top (``python -m repro serve``).
+ties them together; :mod:`repro.serving.http` puts a stdlib asyncio
+HTTP/JSON front-end on top, with admission control, deadlines and graceful
+drain (``python -m repro serve``).
 
 Contract: every served response — cache hits and coalesced batches
 included — is bit-identical to a direct ``quantities()``/``cluster()``

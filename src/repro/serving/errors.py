@@ -68,7 +68,7 @@ class ServiceDrainingError(LoadShedError):
     Raised at admission once a graceful drain (SIGTERM) began — in-flight
     requests are still flushed to completion, but new work is refused with
     a ``Retry-After`` hint so clients fail over to a healthy replica.
-    A :class:`LoadShedError` subclass: the HTTP layers map it to ``503``
+    A :class:`LoadShedError` subclass: the HTTP front-end maps it to ``503``
     exactly like overload shedding.
     """
 

@@ -1,9 +1,8 @@
-"""Asyncio edge front-end: route parity, edge policies, drain semantics.
+"""HTTP front-end edge policies: admission control, drain semantics.
 
-Response *content* parity with the threading front-end is structural (both
-serialise through ``serialize_value``); these tests pin the edge-specific
-behaviour — admission control, drain refusal with operator routes exempt,
-keep-alive connection handling, and error mapping.
+These tests pin the policies applied at the door — admission control,
+drain refusal with operator routes exempt, keep-alive connection handling,
+and error mapping.
 """
 
 import http.client
@@ -16,21 +15,23 @@ import numpy as np
 import pytest
 
 from repro.indexes.registry import make_index
-from repro.serving.edge import EdgeServer, make_edge_server
+from repro.serving.http import ClusteringServer, make_server
 from repro.serving.service import ClusteringService
 
 
 @pytest.fixture
 def served(blobs):
-    """A live asyncio edge over one published snapshot."""
+    """A live server over one published snapshot."""
     with ClusteringService(linger_ms=1.0) as service:
         service.fit_snapshot("main", blobs, index="kdtree")
-        server = make_edge_server(service)
-        host, port = server.address
+        server = make_server(service)
+        threading.Thread(target=server.serve_forever, daemon=True).start()
+        host, port = server.server_address
         try:
             yield f"http://{host}:{port}", server, service
         finally:
-            server.close()
+            server.shutdown()
+            server.server_close()
 
 
 def get(base, path):
@@ -163,7 +164,7 @@ class TestErrorMapping:
     def test_validation_rejects_bad_max_inflight(self, blobs):
         with ClusteringService(linger_ms=1.0) as service:
             with pytest.raises(ValueError, match="max_inflight"):
-                EdgeServer(service, max_inflight=0, observability=False)
+                ClusteringServer(("127.0.0.1", 0), service, max_inflight=0, observability=False)
 
 
 class TestEdgePolicies:
@@ -206,8 +207,9 @@ class TestEdgePolicies:
     def test_drain_flushes_inflight_and_reports_clean(self, blobs):
         with ClusteringService(linger_ms=20.0) as service:
             service.fit_snapshot("main", blobs, index="kdtree")
-            server = make_edge_server(service)
-            base = f"http://{server.address[0]}:{server.address[1]}"
+            server = make_server(service)
+            threading.Thread(target=server.serve_forever, daemon=True).start()
+            base = f"http://{server.server_address[0]}:{server.server_address[1]}"
             results = []
 
             def client():
@@ -222,6 +224,7 @@ class TestEdgePolicies:
             deadline = threading.Event()
             deadline.wait(0.05)
             assert server.drain(timeout_s=30.0) is True
+            server.server_close()
             thread.join(timeout=30.0)
             assert not thread.is_alive()
             if results:  # the client may have landed before or during drain

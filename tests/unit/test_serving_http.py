@@ -1,7 +1,12 @@
 """HTTP front-end: routes, JSON fidelity, error codes, CLI serve wiring."""
 
+import gc
+import http.client
 import json
+import logging
+import socket
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -217,6 +222,129 @@ class TestErrors:
             500,
         )
         assert "closed" in body["error"]
+
+
+def exchange(base, request: bytes) -> bytes:
+    """Send raw request bytes; return everything read until the server's EOF."""
+    host, port = base[len("http://"):].rsplit(":", 1)
+    with socket.create_connection((host, int(port)), timeout=30) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                return b"".join(chunks)
+            chunks.append(chunk)
+
+
+class TestWire:
+    """Request framing on a raw socket, where a client library cannot hide it."""
+
+    @pytest.mark.parametrize(
+        "request_bytes",
+        [
+            b"POST /v1/query HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n"
+            b"33\r\n" + b'{"snapshot": "main", "op": "cluster", "dc": 0.5}   ' + b"\r\n0\r\n\r\n",
+            b"POST /v1/query HTTP/1.1\r\nHost: x\r\n\r\n",
+            b"GET /healthz HTTP/1.1\r\n" + b"X-Pad: 1\r\n" * 101 + b"\r\n",
+            b"GET /healthz HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n",
+        ],
+        ids=["chunked", "bodiless-post", "too-many-headers", "header-too-long"],
+    )
+    def test_unframeable_request_gets_one_400_then_eof(self, served, request_bytes):
+        base, _ = served
+        reply = exchange(base, request_bytes)
+        assert reply.startswith(b"HTTP/1.1 400 ")
+        assert reply.count(b"HTTP/1.1 ") == 1
+        assert b"Connection: close" in reply
+
+    def test_http10_request_closes_after_the_response(self, served):
+        base, _ = served
+        reply = exchange(base, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert reply.startswith(b"HTTP/1.1 200 ")
+        assert json.loads(reply.split(b"\r\n\r\n", 1)[1])["status"] == "ok"
+
+    def test_expect_100_continue_is_answered_before_the_body(self, served, blobs):
+        base, _ = served
+        host, port = base[len("http://"):].rsplit(":", 1)
+        body = json.dumps({"snapshot": "main", "op": "quantities", "dc": 0.5}).encode()
+        interim = b"HTTP/1.1 100 Continue\r\n\r\n"
+        with socket.create_connection((host, int(port)), timeout=30) as sock:
+            sock.sendall(
+                b"POST /v1/query HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+                b"Expect: 100-continue\r\nContent-Length: %d\r\n\r\n" % len(body)
+            )
+            received = b""
+            while len(received) < len(interim):
+                chunk = sock.recv(len(interim) - len(received))
+                assert chunk, "connection closed before 100 Continue"
+                received += chunk
+            assert received == interim
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            out = json.loads(response.read())
+        reference = make_index("kdtree").fit(blobs).quantities(0.5)
+        assert out["mu"] == reference.mu.tolist()
+
+
+class TestLifecycle:
+    def test_drain_with_open_keep_alive_is_clean_and_quiet(self, blobs, caplog):
+        with ClusteringService(linger_ms=1.0) as service:
+            service.fit_snapshot("main", blobs, index="kdtree")
+            server = make_server(service, observability=False)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            conn = http.client.HTTPConnection(*server.server_address, timeout=30)
+            try:
+                with caplog.at_level(logging.INFO, logger="asyncio"):
+                    conn.request("GET", "/healthz")
+                    assert conn.getresponse().read()
+                    # The keep-alive connection is still open here.
+                    assert server.drain(timeout_s=10.0) is True
+                    server.server_close()
+                    thread.join(timeout=10.0)
+                    gc.collect()  # a task destroyed while pending logs here
+            finally:
+                conn.close()
+        assert not thread.is_alive()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+
+    def test_drain_waits_for_an_inflight_publish(self, blobs, monkeypatch):
+        with ClusteringService(linger_ms=1.0) as service:
+            server = make_server(service, observability=False)
+            thread = threading.Thread(target=server.serve_forever, daemon=True)
+            thread.start()
+            base = "http://%s:%s" % server.server_address
+            started = threading.Event()
+            fit = service.fit_snapshot
+
+            def slow_fit(*args, **kwargs):
+                started.set()
+                time.sleep(0.3)
+                return fit(*args, **kwargs)
+
+            monkeypatch.setattr(service, "fit_snapshot", slow_fit)
+            results = []
+            client = threading.Thread(target=lambda: results.append(
+                post(base, "/v1/snapshots/late", {"points": blobs.tolist(), "index": "grid"})
+            ))
+            client.start()
+            assert started.wait(timeout=10.0)
+            assert server.drain(timeout_s=10.0) is True
+            client.join(timeout=10.0)
+            server.server_close()
+            thread.join(timeout=10.0)
+        assert not client.is_alive() and not thread.is_alive()
+        assert results[0]["published"]["n"] == len(blobs)
+
+    def test_shutdown_before_serving_returns(self, blobs):
+        with ClusteringService() as service:
+            server = make_server(service, observability=False)
+            server.shutdown()
+            server.serve_forever()  # returns at once: shutdown was requested
+            server.server_close()
 
 
 class TestOverload:
